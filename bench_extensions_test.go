@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	evolving "repro"
+	"repro/internal/core"
 )
 
 // BenchmarkAlg1VsAlg2Sparse extends the Sec. IV comparison with the
@@ -43,10 +44,10 @@ func BenchmarkAlg1VsAlg2Sparse(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCSRVsMaps races the default flat CSR/bitset BFS engine
-// against the adjacency-map oracle (DESIGN.md §8) on the Fig. 5 random
-// workload. The two return bit-identical results; the gap is pure
-// engine overhead and should widen with graph size.
+// BenchmarkEngineCSRVsMaps races the flat CSR/bitset BFS engine against
+// the adjacency-map oracle core.ReferenceBFS (DESIGN.md §8) on the
+// Fig. 5 random workload. The two return bit-identical results; the gap
+// is pure engine overhead and should widen with graph size.
 func BenchmarkEngineCSRVsMaps(b *testing.B) {
 	for _, edges := range []int{20_000, 80_000, 320_000} {
 		g := evolving.Random(evolving.RandomConfig{
@@ -63,7 +64,7 @@ func BenchmarkEngineCSRVsMaps(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("Maps/edges=%d", edges), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				if _, err := evolving.BFS(g, root, evolving.Options{UseAdjacencyMaps: true}); err != nil {
+				if _, err := core.ReferenceBFS(g, []evolving.TemporalNode{root}, evolving.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,8 +7,9 @@
 // sized; raise -edges to approach the paper's scale if you have the RAM.
 //
 // With -compare the harness instead races the CSR/bitset engine
-// (the default, DESIGN.md §8) against the adjacency-map oracle
-// (Options.UseAdjacencyMaps) across the suites named by -suites:
+// (DESIGN.md §8) against the adjacency-map oracles — core.ReferenceBFS
+// and the Reference* functions of internal/components, influence and
+// metrics, the "maps" rows — across the suites named by -suites:
 //
 //   - bfs: single-source BFS (plus the parallel CSR engine) on the
 //     generator workloads named by -workloads;
@@ -81,6 +82,10 @@ import (
 	"time"
 
 	evolving "repro"
+	"repro/internal/components"
+	"repro/internal/core"
+	"repro/internal/influence"
+	"repro/internal/metrics"
 )
 
 // record is one measurement row of the BENCH json.
@@ -237,8 +242,13 @@ func runFigure5(nodes, stamps int, edgeList string, seed int64, reps int, parall
 	ys := make([]float64, 0, len(series))
 	for i, g := range series {
 		root := evolving.TemporalNode{Node: int32(g.ActiveNodes(0).NextSet(0)), Stamp: 0}
-		var opts evolving.Options
-		best, reached, err := timeBFS(g, root, opts, parallel, workers, reps)
+		bfs := func() (*evolving.Result, error) { return evolving.BFS(g, root, evolving.Options{}) }
+		if parallel {
+			bfs = func() (*evolving.Result, error) {
+				return evolving.ParallelBFS(g, root, evolving.ParallelOptions{Workers: workers})
+			}
+		}
+		best, reached, err := timeBFS(reps, bfs)
 		if err != nil {
 			return nil, fmt.Errorf("BFS: %v", err)
 		}
@@ -309,17 +319,23 @@ func runCompare(workloads string, nodes, stamps int, edgeList string, seed int64
 			built := g.StaticEdgeCount()
 			unfolded := g.EdgeCount(evolving.CausalAllPairs)
 
-			mapsBest, reached, err := timeBFS(g, root, evolving.Options{UseAdjacencyMaps: true}, false, 0, reps)
+			mapsBest, reached, err := timeBFS(reps, func() (*evolving.Result, error) {
+				return core.ReferenceBFS(g, []evolving.TemporalNode{root}, evolving.Options{})
+			})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "egbench: %s: %v\n", ng.name, err)
 				os.Exit(1)
 			}
-			csrBest, csrReached, err := timeBFS(g, root, evolving.Options{}, false, 0, reps)
+			csrBest, csrReached, err := timeBFS(reps, func() (*evolving.Result, error) {
+				return evolving.BFS(g, root, evolving.Options{})
+			})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "egbench: %s: csr: %v\n", ng.name, err)
 				os.Exit(1)
 			}
-			parBest, parReached, err := timeBFS(g, root, evolving.Options{}, true, workers, reps)
+			parBest, parReached, err := timeBFS(reps, func() (*evolving.Result, error) {
+				return evolving.ParallelBFS(g, root, evolving.ParallelOptions{Workers: workers})
+			})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "egbench: %s: csr-parallel: %v\n", ng.name, err)
 				os.Exit(1)
@@ -371,14 +387,21 @@ func runAnalyticsSuite(name string, nodes, stamps int, edgeList string, seed int
 	switch name {
 	case "components":
 		run = func(g *evolving.Graph, oracle bool) (interface{}, int) {
-			sizes := evolving.ComponentSizeDistribution(g,
-				evolving.ComponentOptions{UseAdjacencyMaps: oracle, Workers: workers})
+			var sizes []int
+			if oracle {
+				sizes = components.ReferenceSizeDistribution(g, evolving.CausalAllPairs)
+			} else {
+				sizes = evolving.ComponentSizeDistribution(g, evolving.ComponentOptions{Workers: workers})
+			}
 			return sizes, len(sizes)
 		}
 	case "influence":
 		run = func(g *evolving.Graph, oracle bool) (interface{}, int) {
-			seeds, err := evolving.GreedyInfluence(g, 5,
-				evolving.InfluenceOptions{UseAdjacencyMaps: oracle, Workers: workers})
+			greedy := evolving.GreedyInfluence
+			if oracle {
+				greedy = influence.ReferenceGreedy
+			}
+			seeds, err := greedy(g, 5, evolving.InfluenceOptions{Workers: workers})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "egbench: influence: %v\n", err)
 				os.Exit(1)
@@ -391,8 +414,12 @@ func runAnalyticsSuite(name string, nodes, stamps int, edgeList string, seed int
 		}
 	case "closeness":
 		run = func(g *evolving.Graph, oracle bool) (interface{}, int) {
-			st := evolving.GlobalEfficiencyOpts(g,
-				evolving.MetricOptions{UseAdjacencyMaps: oracle, Workers: workers})
+			var st evolving.EfficiencyStats
+			if oracle {
+				st = metrics.ReferenceEfficiency(g, evolving.CausalAllPairs)
+			} else {
+				st = evolving.GlobalEfficiencyOpts(g, evolving.MetricOptions{Workers: workers})
+			}
 			return st, st.Diameter
 		}
 	}
@@ -820,22 +847,16 @@ func buildWorkload(name string, nodes, stamps int, counts []int, seed int64) ([]
 	}
 }
 
-// timeBFS reports the minimum wall-clock time of reps searches. One
+// timeBFS reports the minimum wall-clock time of reps runs of bfs. One
 // untimed warm-up run precedes the timed ones so one-time setup (the
 // lazily built CSR view, page faults on fresh arrays) charges neither
 // engine.
-func timeBFS(g *evolving.Graph, root evolving.TemporalNode, opts evolving.Options, parallel bool, workers, reps int) (time.Duration, int, error) {
+func timeBFS(reps int, bfs func() (*evolving.Result, error)) (time.Duration, int, error) {
 	best := time.Duration(math.MaxInt64)
 	reached := 0
 	for r := -1; r < reps; r++ {
 		start := time.Now()
-		var res *evolving.Result
-		var err error
-		if parallel {
-			res, err = evolving.ParallelBFS(g, root, evolving.ParallelOptions{Options: opts, Workers: workers})
-		} else {
-			res, err = evolving.BFS(g, root, opts)
-		}
+		res, err := bfs()
 		if err != nil {
 			return 0, 0, err
 		}

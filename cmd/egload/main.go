@@ -332,7 +332,7 @@ func main() {
 	vis.fold(rep)
 	rep.VisibilityMode = *visibility
 	if *visibility == "poll" {
-		rep.PollIntervalNS = pollInterval.Nanoseconds()
+		rep.PollEveryNS = pollInterval.Nanoseconds()
 	}
 	rep.RestartToReadyNS = readyNS
 	rep.ReadyPolls = readyPolls
@@ -408,7 +408,7 @@ type report struct {
 	// deprecated header-polling baseline) or feed (pushed change-feed).
 	// BENCH_8 compares poll vs feed p99 on identical workloads.
 	VisibilityMode    string                  `json:"visibilityMode"`
-	PollIntervalNS    int64                   `json:"pollIntervalNs,omitempty"`
+	PollEveryNS       int64                   `json:"pollIntervalNs,omitempty"`
 	VisibleCount      int                     `json:"ingestVisibleCount,omitempty"`
 	VisibleUnresolved int                     `json:"ingestVisibleUnresolved,omitempty"`
 	VisibleP50NS      int64                   `json:"ingestVisibleP50Ns,omitempty"`
@@ -1012,8 +1012,8 @@ func printReport(rep *report) {
 			100*rep.CacheHitRate, c.Hits, c.Misses, c.Collapsed, c.Entries, c.Evictions,
 			rep.ServerMetrics.InFlight, rep.ServerMetrics.MaxInFlight)
 		if ig := rep.ServerMetrics.Ingest; ig != nil {
-			fmt.Printf("server ingest: appended=%d pending=%d epochs=%d (patch=%d full=%d) compacted=%d throttled=%d lastCompact=%.1fms lastCsrBuild=%.1fms lastVisible=%.1fms\n",
-				ig.AppendedEvents, ig.PendingEvents, ig.Epochs, ig.PatchEpochs, ig.FullRebuildEpochs,
+			fmt.Printf("server ingest: appended=%d pending=%d epochs=%d (patch=%d) compacted=%d throttled=%d lastCompact=%.1fms lastCsrBuild=%.1fms lastVisible=%.1fms\n",
+				ig.AppendedEvents, ig.PendingEvents, ig.Epochs, ig.PatchEpochs,
 				ig.CompactedEvents, ig.ThrottledBatches, ig.LastCompactMs, ig.LastCSRBuildMs, ig.LastVisibleMs)
 		}
 	}

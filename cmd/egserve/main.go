@@ -17,19 +17,22 @@
 //	        [-wal events.wal] [-fsync interval] [-fsync-interval 100ms]
 //	        [-compact-every 4096] [-compact-interval 2s] [-max-pending 65536]
 //	        [-checkpoint auto] [-checkpoint-every 8] [-checkpoint-interval 60s]
-//	        [-full-rebuild] [-inc=true] [-write-timeout 0] [-shutdown-timeout 10s]
+//	        [-inc=true] [-write-timeout 0] [-shutdown-timeout 10s]
 //	        [-pprof localhost:6060] [-trace-sample 64] [-trace-slow 250ms]
 //	        [-fault scenario] [-serve-stale]
 //
 // -fault arms the internal/fault injection sites (WAL append/fsync,
 // checkpoint write/fsync/rename, wire accept/read/write, query
-// compute) with a named scenario, a scenario file, or inline DSL text;
-// -serve-stale enables the degraded read mode that answers from the
-// last good cached result (X-Cache: stale) when a compute fails
-// server-side. A WAL disk-full or persistent fsync failure flips the
-// process into read-only degraded mode: ingest answers 503 with
-// Retry-After, reads keep serving, /healthz reports "degraded" and
-// eg_degraded{}=1.
+// compute) with a named scenario, a scenario file, or inline DSL text.
+// A delay rule on a checkpoint site holds the write open at that point
+// — -fault 'ckpt.write delay=2s' leaves a partial temp file for that
+// long, -fault 'ckpt.rename delay=2s' a complete but unrenamed one —
+// which is where crash tests SIGKILL the process. -serve-stale enables
+// the degraded read mode that answers from the last good cached result
+// (X-Cache: stale) when a compute fails server-side. A WAL disk-full
+// or persistent fsync failure flips the process into read-only
+// degraded mode: ingest answers 503 with Retry-After, reads keep
+// serving, /healthz reports "degraded" and eg_degraded{}=1.
 //
 // The HTTP listener opens before recovery: /healthz answers 200
 // immediately while /readyz stays 503 until the first graph installs
@@ -129,11 +132,8 @@ func main() {
 		checkpoint      = flag.String("checkpoint", "auto", `checkpoint file for O(1) warm restart: "auto" = <wal>.ckpt, "none" disables (needs -wal)`)
 		checkpointEvery = flag.Int("checkpoint-every", 8, "persist a checkpoint after this many epochs")
 		checkpointIval  = flag.Duration("checkpoint-interval", 60*time.Second, "persist a checkpoint at least this often when new batches were folded")
-		ckptStallWrite  = flag.Duration("checkpoint-stall-write", 0, "fault injection: stall mid-way through the checkpoint body write (crash-test hook)")
-		ckptStallRename = flag.Duration("checkpoint-stall-rename", 0, "fault injection: stall after the checkpoint sync, before the rename (crash-test hook)")
 		faultSpec       = flag.String("fault", "", "fault-injection scenario: a named scenario (disk-full, fsync-stall, conn-flap, slow-compute), a scenario file, or inline text (internal/fault DSL); empty disables")
 		serveStale      = flag.Bool("serve-stale", false, "degraded read mode: serve the last good cached answer (X-Cache: stale) when a compute fails server-side or its deadline budget runs out")
-		fullRebuild     = flag.Bool("full-rebuild", false, "compact via the full Fold rebuild instead of the incremental Patch (the differential oracle; slower, same results)")
 		incAnalytics    = flag.Bool("inc", true, "maintain weak components and temporal Katz incrementally across compactions; /components/weak and /katz serve the maintained results")
 
 		writeTimeout    = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none; cold analytics queries can be slow)")
@@ -318,17 +318,14 @@ func main() {
 			// when the fold dropped their stamps (e.g. all arcs
 			// removed); on a checkpoint boot this is the checkpoint's
 			// label set plus the tail's.
-			ExtraLabels:           res.ExtraLabels,
-			UseFullRebuild:        *fullRebuild,
-			Analytics:             maint,
-			CheckpointPath:        ckptPath,
-			CheckpointEvery:       *checkpointEvery,
-			CheckpointInterval:    *checkpointIval,
-			CheckpointStallWrite:  *ckptStallWrite,
-			CheckpointStallRename: *ckptStallRename,
-			LastCheckpointSeq:     res.CheckpointSeq,
-			RecoverPath:           res.Path,
-			TailRecordsReplayed:   res.TailEvents,
+			ExtraLabels:         res.ExtraLabels,
+			Analytics:           maint,
+			CheckpointPath:      ckptPath,
+			CheckpointEvery:     *checkpointEvery,
+			CheckpointInterval:  *checkpointIval,
+			LastCheckpointSeq:   res.CheckpointSeq,
+			RecoverPath:         res.Path,
+			TailRecordsReplayed: res.TailEvents,
 		})
 		if err != nil {
 			log.Fatalf("egserve: %v", err)

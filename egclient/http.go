@@ -10,10 +10,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/feed"
 	"repro/internal/wire"
 )
 
@@ -21,9 +19,6 @@ import (
 type HTTPOptions struct {
 	// Client is the http.Client to use (default http.DefaultClient).
 	Client *http.Client
-	// PollInterval paces the Subscribe polling emulation (default
-	// 100ms). Wire subscriptions push instead; prefer them.
-	PollInterval time.Duration
 }
 
 // NewHTTP returns a Client speaking JSON-over-HTTP to baseURL (e.g.
@@ -32,20 +27,15 @@ func NewHTTP(baseURL string, opts HTTPOptions) *Client {
 	if opts.Client == nil {
 		opts.Client = http.DefaultClient
 	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 100 * time.Millisecond
-	}
 	return &Client{t: &httpTransport{
 		base: strings.TrimRight(baseURL, "/"),
 		hc:   opts.Client,
-		poll: opts.PollInterval,
 	}}
 }
 
 type httpTransport struct {
 	base string
 	hc   *http.Client
-	poll time.Duration
 }
 
 func (t *httpTransport) close() error { return nil }
@@ -132,85 +122,13 @@ func (t *httpTransport) ingest(ctx context.Context, events []Event) (*IngestAcce
 	return &acc, nil
 }
 
-// subscribe emulates a KindRevision feed by polling /healthz — the
-// exact pattern the change-feed deprecates, kept only so HTTP-only
-// callers can run unchanged. Events carry the revision and graph shape
-// but no analytics-derived kinds; resume replays nothing (polling has
-// no ring to replay from): a cursor only suppresses events at or below
-// it.
-//
-// Deprecated: dial the wire transport for pushed events with resumable
-// cursors.
+// subscribe refuses: the change-feed is pushed over the wire transport
+// only, so every feed kind is a bad_request over HTTP.
 func (t *httpTransport) subscribe(ctx context.Context, spec FeedSpec) (*Subscription, error) {
-	if spec.Kind != feed.KindRevision {
-		return nil, &RemoteError{
-			Code:    wire.CodeBadRequest,
-			Message: fmt.Sprintf("HTTP transport cannot stream %s events; use the wire transport", spec.Kind),
-		}
+	return nil, &RemoteError{
+		Code:    wire.CodeBadRequest,
+		Message: fmt.Sprintf("HTTP transport cannot stream %s events; use the wire transport", spec.Kind),
 	}
-	sctx, cancel := context.WithCancel(ctx)
-	events := make(chan FeedEvent, 16)
-	errc := make(chan error, 1)
-	cur := new(atomic.Uint64)
-	if spec.Cursor != CursorLive {
-		cur.Store(spec.Cursor)
-	} else {
-		// Live means "from now": one probe pins the current revision so
-		// only later ones emit.
-		var h healthz
-		if _, err := t.query(sctx, "healthz", nil, &h); err != nil {
-			cancel()
-			return nil, err
-		}
-		cur.Store(h.GraphRevision)
-	}
-	go func() {
-		defer close(events)
-		tick := time.NewTicker(t.poll)
-		defer tick.Stop()
-		for {
-			var h healthz
-			if _, err := t.query(sctx, "healthz", nil, &h); err != nil {
-				errc <- err
-				return
-			}
-			if h.GraphRevision > cur.Load() {
-				cur.Store(h.GraphRevision)
-				select {
-				case events <- FeedEvent{
-					Kind:        feed.KindRevision,
-					Revision:    h.GraphRevision,
-					Nodes:       h.Nodes,
-					Stamps:      h.Stamps,
-					ActiveNodes: h.ActiveNodes,
-				}:
-				case <-sctx.Done():
-					errc <- sctx.Err()
-					return
-				}
-			}
-			select {
-			case <-tick.C:
-			case <-sctx.Done():
-				errc <- sctx.Err()
-				return
-			}
-		}
-	}()
-	return &Subscription{
-		events: events,
-		errc:   errc,
-		stop:   cancel,
-		cursor: cur.Load,
-	}, nil
-}
-
-// healthz mirrors the /healthz fields the poller needs.
-type healthz struct {
-	GraphRevision uint64 `json:"graphRevision"`
-	Nodes         int    `json:"nodes"`
-	Stamps        int    `json:"stamps"`
-	ActiveNodes   int    `json:"activeTemporalNodes"`
 }
 
 // remoteError turns an HTTP error body (the versioned envelope) into

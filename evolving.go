@@ -32,16 +32,16 @@
 // subdirectories of internal/ for implementation detail and DESIGN.md
 // for the paper-to-module map.
 //
-// Searches run by default on a flat CSR/bitset engine over the unfolded
-// temporal graph (DESIGN.md §8); Options.UseAdjacencyMaps selects the
-// original adjacency-map traversal, kept as a differential-testing
-// oracle. The analytics layer — components, influence maximisation,
-// closeness/efficiency, temporal Katz — traverses the same cached view
-// (DESIGN.md §9), with the equivalent escape hatches on
-// ComponentOptions, InfluenceOptions, MetricOptions and KatzOptions,
-// and per-root sweeps fanned across worker pools. The CSR view itself
-// is available through Graph.CSR for code that wants to traverse the
-// unfolded graph directly.
+// Searches run on a flat CSR/bitset engine over the unfolded temporal
+// graph (DESIGN.md §8). The analytics layer — components, influence
+// maximisation, closeness/efficiency, temporal Katz — traverses the
+// same cached view (DESIGN.md §9), with per-root sweeps fanned across
+// worker pools. The original adjacency-map traversals are kept as
+// differential-testing oracles (core.ReferenceBFS and the Reference*
+// functions of internal/components, influence, metrics and rank), used
+// by tests and cmd/egbench only. The CSR view itself is available
+// through Graph.CSR for code that wants to traverse the unfolded graph
+// directly.
 package evolving
 
 import (
@@ -295,9 +295,8 @@ func BuildReachIndex(g *Graph, mode CausalMode) (*ReachIndex, error) {
 // EfficiencyStats summarises global temporal connectivity.
 type EfficiencyStats = metrics.EfficiencyStats
 
-// MetricOptions configures the BFS-backed centralities: causal mode,
-// engine selection (the adjacency-map differential oracle vs the
-// default CSR engine) and worker fan-out.
+// MetricOptions configures the BFS-backed centralities: causal mode
+// and worker fan-out.
 type MetricOptions = metrics.Options
 
 // GlobalEfficiency computes mean inverse distance, reachable-pair
@@ -306,8 +305,8 @@ func GlobalEfficiency(g *Graph, mode CausalMode) EfficiencyStats {
 	return metrics.GlobalEfficiency(g, mode)
 }
 
-// GlobalEfficiencyOpts is GlobalEfficiency with engine and worker
-// control; results are bit-identical across engines and worker counts.
+// GlobalEfficiencyOpts is GlobalEfficiency with worker control; results
+// are bit-identical across worker counts.
 func GlobalEfficiencyOpts(g *Graph, opts MetricOptions) EfficiencyStats {
 	return metrics.GlobalEfficiencyOpts(g, opts)
 }
@@ -395,11 +394,6 @@ func TemporalCloseness(g *Graph, root TemporalNode, mode CausalMode) (float64, e
 	return metrics.TemporalCloseness(g, root, mode)
 }
 
-// TemporalClosenessOpts is TemporalCloseness with engine control.
-func TemporalClosenessOpts(g *Graph, root TemporalNode, opts MetricOptions) (float64, error) {
-	return metrics.TemporalClosenessOpts(g, root, opts)
-}
-
 // TemporalBetweenness is Brandes betweenness over the unfolded graph,
 // aggregated per node.
 func TemporalBetweenness(g *Graph, mode CausalMode) []float64 {
@@ -410,9 +404,7 @@ func TemporalBetweenness(g *Graph, mode CausalMode) []float64 {
 type Component = components.Component
 
 // ComponentOptions configures the connectivity computations: causal
-// mode, engine selection (the adjacency-map differential oracle vs the
-// default CSR engine) and worker fan-out for the size-distribution
-// sweep.
+// mode and worker fan-out for the size-distribution sweep.
 type ComponentOptions = components.Options
 
 // WeakComponents returns the weakly connected components of the
@@ -421,7 +413,7 @@ func WeakComponents(g *Graph, mode CausalMode) []Component {
 	return components.Weak(g, mode)
 }
 
-// WeakComponentsOpts is WeakComponents with engine control.
+// WeakComponentsOpts is WeakComponents taking ComponentOptions.
 func WeakComponentsOpts(g *Graph, opts ComponentOptions) []Component {
 	return components.WeakOpts(g, opts)
 }
@@ -432,11 +424,6 @@ func StrongComponents(g *Graph, minSize int) []Component {
 	return components.Strong(g, minSize)
 }
 
-// StrongComponentsOpts is StrongComponents with engine control.
-func StrongComponentsOpts(g *Graph, minSize int, opts ComponentOptions) []Component {
-	return components.StrongOpts(g, minSize, opts)
-}
-
 // OutComponent returns the Def. 7 reachability set of a temporal node.
 func OutComponent(g *Graph, root TemporalNode, mode CausalMode) (Component, error) {
 	return components.OutComponent(g, root, mode)
@@ -444,8 +431,8 @@ func OutComponent(g *Graph, root TemporalNode, mode CausalMode) (Component, erro
 
 // ComponentSizeDistribution returns the multiset of out-component sizes
 // over all active temporal nodes, sorted descending — the influence
-// profile of the graph (Def. 7 / Sec. V). On the default CSR engine the
-// per-root searches are fanned across opts.Workers goroutines.
+// profile of the graph (Def. 7 / Sec. V). The per-root searches are
+// fanned across opts.Workers goroutines.
 func ComponentSizeDistribution(g *Graph, opts ComponentOptions) []int {
 	return components.SizeDistributionOpts(g, opts)
 }

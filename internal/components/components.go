@@ -16,10 +16,10 @@
 // directly over CSR arcs, strong components run per-snapshot Tarjan off
 // the CSR rows, and the size distribution fans its per-root BFS runs
 // across a worker pool with pooled frontier scratch (core.ReachSweep).
-// Options.UseAdjacencyMaps routes each computation through the original
-// per-stamp adjacency traversal instead — slower, kept as the
-// differential-testing oracle; results are identical either way, which
-// the package's equivalence tests assert.
+// ReferenceWeak, ReferenceStrong and ReferenceSizeDistribution compute
+// the same results through the original per-stamp adjacency traversal —
+// slower, kept as the differential-testing oracles that the package's
+// equivalence tests and cmd/egbench compare against.
 package components
 
 import (
@@ -34,21 +34,15 @@ import (
 type Component []egraph.TemporalNode
 
 // Options configures the component computations. The zero value is the
-// default CSR engine under the paper's all-pairs causal mode.
+// paper's all-pairs causal mode with a GOMAXPROCS-wide sweep.
 type Options struct {
 	// Mode selects the causal edge set. Weak and out-component structure
 	// is identical in both modes (causal reachability is transitive);
 	// the option exists so differential tests can exercise both unfolded
 	// edge sets.
 	Mode egraph.CausalMode
-	// UseAdjacencyMaps routes the computation through the adjacency-map
-	// oracle (per-stamp neighbour lists, Unfold-based traversal) instead
-	// of the flat CSR view. Results are identical; the slow path is kept
-	// for differential testing.
-	UseAdjacencyMaps bool
 	// Workers bounds the fan-out of SizeDistribution's per-root BFS
-	// sweep on the CSR engine; 0 means GOMAXPROCS. The oracle engine is
-	// always sequential.
+	// sweep; 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -60,11 +54,8 @@ func Weak(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []Component {
 	return WeakOpts(g, Options{Mode: mode})
 }
 
-// WeakOpts is Weak with engine control.
+// WeakOpts is Weak taking Options.
 func WeakOpts(g *egraph.IntEvolvingGraph, opts Options) []Component {
-	if opts.UseAdjacencyMaps {
-		return weakReference(g, opts.Mode)
-	}
 	return weakCSR(g, opts.Mode)
 }
 
@@ -106,9 +97,9 @@ func weakCSR(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []Component {
 	return out
 }
 
-// weakReference is the adjacency-map oracle: union-find over the
-// materialised Theorem 1 unfolding.
-func weakReference(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []Component {
+// ReferenceWeak is the differential-testing oracle for Weak: union-find
+// over the materialised Theorem 1 unfolding. Only tests call it.
+func ReferenceWeak(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []Component {
 	u := g.Unfold(mode)
 	n := u.Graph.NumNodes()
 	uf := ds.NewUnionFind(n)
@@ -144,15 +135,9 @@ func Strong(g *egraph.IntEvolvingGraph, minSize int) []Component {
 	return StrongOpts(g, minSize, Options{})
 }
 
-// StrongOpts is Strong with engine control.
+// StrongOpts is Strong taking Options; no option changes the result.
 func StrongOpts(g *egraph.IntEvolvingGraph, minSize int, opts Options) []Component {
-	if minSize < 1 {
-		minSize = 1
-	}
-	if opts.UseAdjacencyMaps {
-		return strongReference(g, minSize)
-	}
-	return strongCSR(g, minSize)
+	return strongCSR(g, max(minSize, 1))
 }
 
 // strongCSR runs the per-snapshot Tarjan over the CSR rows: each
@@ -191,8 +176,11 @@ func strongCSR(g *egraph.IntEvolvingGraph, minSize int) []Component {
 	return out
 }
 
-// strongReference is the adjacency-map oracle for Strong.
-func strongReference(g *egraph.IntEvolvingGraph, minSize int) []Component {
+// ReferenceStrong is the differential-testing oracle for Strong: the
+// same per-snapshot Tarjan over the per-stamp adjacency maps. Only
+// tests call it.
+func ReferenceStrong(g *egraph.IntEvolvingGraph, minSize int) []Component {
+	minSize = max(minSize, 1)
 	var out []Component
 	for t := 0; t < g.NumStamps(); t++ {
 		act := g.ActiveNodes(t)
@@ -237,10 +225,9 @@ func OutComponent(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, mode egr
 	return OutComponentOpts(g, root, Options{Mode: mode})
 }
 
-// OutComponentOpts is OutComponent with engine control; the engine
-// choice flows into the underlying core.BFS.
+// OutComponentOpts is OutComponent taking Options.
 func OutComponentOpts(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) (Component, error) {
-	res, err := core.BFS(g, root, core.Options{Mode: opts.Mode, UseAdjacencyMaps: opts.UseAdjacencyMaps})
+	res, err := core.BFS(g, root, core.Options{Mode: opts.Mode})
 	if err != nil {
 		return nil, err
 	}
@@ -255,29 +242,35 @@ func OutComponentOpts(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts
 
 // SizeDistribution returns the multiset of out-component sizes over all
 // active temporal nodes, sorted descending — the influence profile of
-// the graph. Cost is one BFS per active temporal node; on the default
-// engine the runs are fanned across workers with pooled scratch.
+// the graph. Cost is one BFS per active temporal node, fanned across
+// workers with pooled scratch.
 func SizeDistribution(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []int {
 	return SizeDistributionOpts(g, Options{Mode: mode})
 }
 
-// SizeDistributionOpts is SizeDistribution with engine and worker
-// control.
+// SizeDistributionOpts is SizeDistribution with worker control.
 func SizeDistributionOpts(g *egraph.IntEvolvingGraph, opts Options) []int {
 	roots := g.ActiveTemporalNodes()
 	sizes := make([]int, len(roots))
-	if opts.UseAdjacencyMaps {
-		for i, root := range roots {
-			res, err := core.BFS(g, root, core.Options{Mode: opts.Mode, UseAdjacencyMaps: true})
-			if err != nil {
-				continue // unreachable: roots are active by construction
-			}
-			sizes[i] = res.NumReached()
+	// Roots are active by construction, so the sweep cannot fail.
+	_ = core.ReachSweep(g, roots, core.Options{Mode: opts.Mode}, opts.Workers,
+		func(i int, reached []int32) { sizes[i] = len(reached) })
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	return sizes
+}
+
+// ReferenceSizeDistribution is the differential-testing oracle for
+// SizeDistribution: one sequential core.ReferenceBFS per active temporal
+// node. Only tests and cmd/egbench call it.
+func ReferenceSizeDistribution(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) []int {
+	roots := g.ActiveTemporalNodes()
+	sizes := make([]int, len(roots))
+	for i, root := range roots {
+		res, err := core.ReferenceBFS(g, []egraph.TemporalNode{root}, core.Options{Mode: mode})
+		if err != nil {
+			continue // unreachable: roots are active by construction
 		}
-	} else {
-		// Roots are active by construction, so the sweep cannot fail.
-		_ = core.ReachSweep(g, roots, core.Options{Mode: opts.Mode}, opts.Workers,
-			func(i int, reached []int32) { sizes[i] = len(reached) })
+		sizes[i] = res.NumReached()
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	return sizes

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/egraph"
 	"repro/internal/gen"
 )
@@ -199,20 +200,19 @@ func TestSizeDistribution(t *testing.T) {
 }
 
 // Differential engine equivalence: the CSR paths must return results
-// identical to the adjacency-map oracle for every entry point, across
+// identical to the adjacency-map oracles for every entry point, across
 // both causal modes.
 func assertEnginesAgree(t *testing.T, g *egraph.IntEvolvingGraph, label string) {
 	t.Helper()
 	for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
 		csr := Options{Mode: mode, Workers: 3}
-		oracle := Options{Mode: mode, UseAdjacencyMaps: true}
-		if got, want := WeakOpts(g, csr), WeakOpts(g, oracle); !reflect.DeepEqual(got, want) {
+		if got, want := WeakOpts(g, csr), ReferenceWeak(g, mode); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s mode %v: Weak diverges:\ncsr  %v\nmaps %v", label, mode, got, want)
 		}
-		if got, want := StrongOpts(g, 1, csr), StrongOpts(g, 1, oracle); !reflect.DeepEqual(got, want) {
+		if got, want := StrongOpts(g, 1, csr), ReferenceStrong(g, 1); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s mode %v: Strong diverges:\ncsr  %v\nmaps %v", label, mode, got, want)
 		}
-		if got, want := SizeDistributionOpts(g, csr), SizeDistributionOpts(g, oracle); !reflect.DeepEqual(got, want) {
+		if got, want := SizeDistributionOpts(g, csr), ReferenceSizeDistribution(g, mode); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s mode %v: SizeDistribution diverges:\ncsr  %v\nmaps %v", label, mode, got, want)
 		}
 		for i, root := range g.ActiveTemporalNodes() {
@@ -220,10 +220,15 @@ func assertEnginesAgree(t *testing.T, g *egraph.IntEvolvingGraph, label string) 
 				continue // sample roots to keep the sweep cheap
 			}
 			got, err1 := OutComponentOpts(g, root, csr)
-			want, err2 := OutComponentOpts(g, root, oracle)
+			res, err2 := core.ReferenceBFS(g, []egraph.TemporalNode{root}, core.Options{Mode: mode})
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s mode %v: OutComponent errors: %v / %v", label, mode, err1, err2)
 			}
+			var want Component
+			res.Visit(func(tn egraph.TemporalNode, _ int) bool {
+				want = append(want, tn)
+				return true
+			})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s mode %v root %v: OutComponent diverges:\ncsr  %v\nmaps %v",
 					label, mode, root, got, want)

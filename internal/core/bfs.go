@@ -61,14 +61,6 @@ type Options struct {
 	// TrackParents records one BFS-tree parent per reached node so
 	// shortest temporal paths can be reconstructed.
 	TrackParents bool
-	// UseAdjacencyMaps routes the search through the original
-	// per-stamp adjacency traversal (visitNeighbors over OutNeighbors /
-	// ActiveStamps with per-visit searches) instead of the flat
-	// CSR/bitset engine (DESIGN.md §8). The two produce identical
-	// results; the slower path is kept as a differential-testing oracle
-	// and as an escape hatch for huge graphs where materialising the
-	// CSR view is undesirable.
-	UseAdjacencyMaps bool
 }
 
 // ErrInactiveRoot is returned when the search root is an inactive
@@ -179,41 +171,23 @@ func (r *Result) PathTo(tn egraph.TemporalNode) []egraph.TemporalNode {
 }
 
 // BFS runs Algorithm 1 from root under opts and returns the reached
-// dictionary. The root must be an active temporal node of g.
-//
-// By default the search runs on the flat CSR/bitset engine (DESIGN.md
-// §8); set Options.UseAdjacencyMaps to traverse the per-stamp adjacency
-// directly instead. Distances, parents and level sizes are identical
-// either way.
+// dictionary, on the flat CSR/bitset engine (DESIGN.md §8). The root
+// must be an active temporal node of g.
 func BFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) (*Result, error) {
-	if err := checkRoot(g, root); err != nil {
+	return MultiSourceBFS(g, []egraph.TemporalNode{root}, opts)
+}
+
+// ReferenceBFS is the differential-testing oracle for BFS and
+// MultiSourceBFS: the same search from roots (one or many), expanded by
+// a plain frontier loop over the per-stamp adjacency (visitNeighborsOpts,
+// with per-visit stamp searches) instead of the CSR view. Distances,
+// parents and level sizes are identical to the CSR engine's; tests and
+// cmd/egbench call it, serving code never does.
+func ReferenceBFS(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Options) (*Result, error) {
+	r, frontier, err := seedResult(g, roots, opts)
+	if err != nil {
 		return nil, err
 	}
-	r := newResult(g, root, opts)
-	rootID := g.TemporalNodeID(root)
-	r.dist[rootID] = 0
-	r.reached = 1
-	r.levels = []int{1}
-	r.run(g, []int32{int32(rootID)}, opts)
-	return r, nil
-}
-
-// run expands the seeded frontier to exhaustion on the engine opts
-// selects. Seeds must already be recorded in r (dist 0, reached count,
-// level 0).
-func (r *Result) run(g *egraph.IntEvolvingGraph, seeds []int32, opts Options) {
-	if opts.UseAdjacencyMaps {
-		runReference(g, r, seeds, opts)
-	} else {
-		runCSR(g, r, seeds, opts)
-	}
-}
-
-// runReference is the original adjacency-map engine: frontier expansion
-// through visitNeighborsOpts, with per-visit stamp searches. Kept as the
-// differential-testing oracle for the CSR engine.
-func runReference(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Options) {
-	frontier := append([]int32(nil), seeds...)
 	var next []int32
 	k := int32(1)
 	for len(frontier) > 0 {
@@ -242,6 +216,7 @@ func runReference(g *egraph.IntEvolvingGraph, r *Result, seeds []int32, opts Opt
 		frontier, next = next, frontier
 		k++
 	}
+	return r, nil
 }
 
 func checkRoot(g *egraph.IntEvolvingGraph, root egraph.TemporalNode) error {
@@ -363,12 +338,23 @@ func BackwardNeighbors(g *egraph.IntEvolvingGraph, tn egraph.TemporalNode, mode 
 // root has distance 0 and each temporal node's distance is its distance
 // to the nearest root. All roots must be active.
 func MultiSourceBFS(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Options) (*Result, error) {
+	r, frontier, err := seedResult(g, roots, opts)
+	if err != nil {
+		return nil, err
+	}
+	runCSR(g, r, frontier, opts)
+	return r, nil
+}
+
+// seedResult validates roots and returns a Result with every distinct
+// root recorded at distance 0, plus those roots as the first frontier.
+func seedResult(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Options) (*Result, []int32, error) {
 	if len(roots) == 0 {
-		return nil, errors.New("core: MultiSourceBFS needs at least one root")
+		return nil, nil, errors.New("core: BFS needs at least one root")
 	}
 	for _, root := range roots {
 		if err := checkRoot(g, root); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	r := newResult(g, roots[0], opts)
@@ -383,8 +369,7 @@ func MultiSourceBFS(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opt
 		frontier = append(frontier, int32(id))
 	}
 	r.levels = []int{len(frontier)}
-	r.run(g, frontier, opts)
-	return r, nil
+	return r, frontier, nil
 }
 
 // Reachable reports whether (w, s) is reachable from (v, t) (Def. 7),

@@ -17,7 +17,7 @@ import (
 // allocate only the Result.
 //
 // Neighbour visit order deliberately mirrors the adjacency-map oracle
-// (static arcs ascending, then causal stamps descending for forward
+// ReferenceBFS (static arcs ascending, then causal stamps descending for forward
 // searches / ascending for backward): with identical discovery order
 // the two engines produce bit-identical distance, parent and level
 // arrays, which is what the differential tests assert.

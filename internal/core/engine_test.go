@@ -80,7 +80,7 @@ func assertSameDistances(t *testing.T, label string, got, want *Result) {
 }
 
 // The CSR engine must be indistinguishable from the adjacency-map
-// oracle on randomized graphs across both causal modes, both time
+// oracle (ReferenceBFS) on randomized graphs across both causal modes, both time
 // directions, and both static-edge senses.
 func TestCSREngineMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20160189))
@@ -88,9 +88,7 @@ func TestCSREngineMatchesOracle(t *testing.T) {
 		g := randomGraph(rng, trial%2 == 0)
 		root := firstActive(g)
 		for _, opts := range optionMatrix(true) {
-			oracle := opts
-			oracle.UseAdjacencyMaps = true
-			want, err := BFS(g, root, oracle)
+			want, err := ReferenceBFS(g, []egraph.TemporalNode{root}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,9 +113,7 @@ func TestCSREngineMatchesOracleOnGeneratorGraphs(t *testing.T) {
 	for gi, g := range graphs {
 		root := firstActive(g)
 		for _, opts := range optionMatrix(true) {
-			oracle := opts
-			oracle.UseAdjacencyMaps = true
-			want, err := BFS(g, root, oracle)
+			want, err := ReferenceBFS(g, []egraph.TemporalNode{root}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,9 +135,7 @@ func TestCSREngineMaxDepthMatchesOracle(t *testing.T) {
 		root := firstActive(g)
 		for depth := 1; depth <= 3; depth++ {
 			opts := Options{MaxDepth: depth, TrackParents: true}
-			oracle := opts
-			oracle.UseAdjacencyMaps = true
-			want, err := BFS(g, root, oracle)
+			want, err := ReferenceBFS(g, []egraph.TemporalNode{root}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +148,7 @@ func TestCSREngineMaxDepthMatchesOracle(t *testing.T) {
 	}
 }
 
-// Multi-source searches share the engine dispatch; check both paths.
+// Multi-source searches must match the oracle seeded with the same roots.
 func TestCSREngineMultiSourceMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -167,9 +161,7 @@ func TestCSREngineMultiSourceMatchesOracle(t *testing.T) {
 			}
 		}
 		for _, opts := range optionMatrix(true) {
-			oracle := opts
-			oracle.UseAdjacencyMaps = true
-			want, err := MultiSourceBFS(g, roots, oracle)
+			want, err := ReferenceBFS(g, roots, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,32 +175,24 @@ func TestCSREngineMultiSourceMatchesOracle(t *testing.T) {
 }
 
 // The parallel CSR engine guarantees identical distances (parents may
-// differ by claim order) against both sequential engines.
+// differ by claim order) against the sequential oracle.
 func TestParallelCSRMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(rng, trial%2 == 0)
 		root := firstActive(g)
 		for _, base := range optionMatrix(false) {
-			oracle := base
-			oracle.UseAdjacencyMaps = true
-			want, err := BFS(g, root, oracle)
+			want, err := ReferenceBFS(g, []egraph.TemporalNode{root}, base)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				// Both the CSR engine and the adjacency-map parallel
-				// oracle must reproduce the sequential distances.
-				for _, useMaps := range []bool{false, true} {
-					popts := base
-					popts.UseAdjacencyMaps = useMaps
-					got, err := ParallelBFS(g, root, ParallelOptions{Options: popts, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("trial %d workers %d maps=%v %+v", trial, workers, useMaps, base)
-					assertSameDistances(t, label, got, want)
+				got, err := ParallelBFS(g, root, ParallelOptions{Options: base, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
 				}
+				label := fmt.Sprintf("trial %d workers %d %+v", trial, workers, base)
+				assertSameDistances(t, label, got, want)
 			}
 		}
 	}

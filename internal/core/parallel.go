@@ -1,10 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
-	"repro/internal/ds"
 	"repro/internal/egraph"
 )
 
@@ -16,17 +12,15 @@ type ParallelOptions struct {
 	Workers int
 }
 
-// ParallelBFS is a level-synchronous parallel variant of Algorithm 1:
-// each BFS level is partitioned into contiguous ranges across Workers
-// goroutines; workers claim newly discovered temporal nodes through an
-// atomic visited bitmap (exactly one claimant per node) and append them
-// to per-worker buffers that are concatenated into the next frontier.
-// Because levels are processed with a barrier between them, the distance
-// labelling is identical to the sequential BFS — only discovery order
-// within a level (and hence the parent tree) may differ.
-//
-// Like BFS, it runs on the flat CSR engine unless
-// Options.UseAdjacencyMaps selects the adjacency-map oracle.
+// ParallelBFS is a level-synchronous parallel variant of Algorithm 1
+// over the flat CSR view: each BFS level is partitioned into contiguous
+// ranges across Workers goroutines; workers claim newly discovered
+// temporal nodes through an atomic visited bitmap (exactly one claimant
+// per node) and append them to per-worker buffers that are concatenated
+// into the next frontier. Because levels are processed with a barrier
+// between them, the distance labelling is identical to the sequential
+// BFS — only discovery order within a level (and hence the parent tree)
+// may differ.
 func ParallelBFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts ParallelOptions) (*Result, error) {
 	if err := checkRoot(g, root); err != nil {
 		return nil, err
@@ -36,82 +30,6 @@ func ParallelBFS(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Para
 	r.dist[rootID] = 0
 	r.reached = 1
 	r.levels = []int{1}
-	if !opts.UseAdjacencyMaps {
-		runParallelCSR(g, r, rootID, opts)
-		return r, nil
-	}
-	parallelReference(g, r, rootID, opts)
+	runParallelCSR(g, r, rootID, opts)
 	return r, nil
-}
-
-// parallelReference is the adjacency-map variant of the parallel
-// expansion, kept as the differential-testing oracle.
-func parallelReference(g *egraph.IntEvolvingGraph, r *Result, rootID int, opts ParallelOptions) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	size := g.NumNodes() * g.NumStamps()
-	visited := ds.NewAtomicBitSet(size)
-	visited.Set(rootID)
-
-	frontier := []int32{int32(rootID)}
-	buffers := make([][]int32, workers)
-	k := int32(1)
-	for len(frontier) > 0 {
-		if opts.MaxDepth > 0 && int(k) > opts.MaxDepth {
-			break
-		}
-		chunk := (len(frontier) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= len(frontier) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			wg.Add(1)
-			go func(w int, part []int32) {
-				defer wg.Done()
-				buf := buffers[w][:0]
-				for _, id := range part {
-					tn := g.TemporalNodeFromID(int(id))
-					visitNeighborsOpts(g, tn, opts.Options, func(nb egraph.TemporalNode) bool {
-						nbID := g.TemporalNodeID(nb)
-						if !visited.TestAndSet(nbID) {
-							// This goroutine exclusively claimed nbID: the
-							// stores below race with no other writer.
-							r.dist[nbID] = k
-							if r.parent != nil {
-								r.parent[nbID] = id
-							}
-							buf = append(buf, int32(nbID))
-						}
-						return true
-					})
-				}
-				buffers[w] = buf
-			}(w, frontier[lo:hi])
-		}
-		wg.Wait()
-
-		frontier = frontier[:0]
-		for w := range buffers {
-			frontier = append(frontier, buffers[w]...)
-			// Reset every buffer, including those of workers that had
-			// no slice of this level: a worker that stays idle next
-			// level must not leak this level's nodes back into the
-			// frontier (that would re-expand visited nodes forever
-			// once the frontier shrinks below workers·chunk).
-			buffers[w] = buffers[w][:0]
-		}
-		if len(frontier) > 0 {
-			r.levels = append(r.levels, len(frontier))
-			r.reached += len(frontier)
-		}
-		k++
-	}
 }

@@ -24,8 +24,9 @@ import (
 // pooled ds.Frontier and one id buffer per worker. Sweeps that need
 // distances (metrics.GlobalEfficiencyOpts) run full BFS Results over
 // their own worker pool instead. There is deliberately no
-// adjacency-map variant of the sweep — differential callers route their
-// oracle path through BFS with Options.UseAdjacencyMaps instead.
+// adjacency-map variant of the sweep: the analytics oracles
+// (components.ReferenceSizeDistribution, influence.ReferenceGreedy and
+// ReferenceSpread) run one ReferenceBFS per root instead.
 func ReachSweep(g *egraph.IntEvolvingGraph, roots []egraph.TemporalNode, opts Options, workers int, fn func(i int, reached []int32)) error {
 	for _, root := range roots {
 		if err := checkRoot(g, root); err != nil {

@@ -40,7 +40,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 	"unsafe"
 
 	"repro/internal/ds"
@@ -112,14 +111,6 @@ type CheckpointMeta struct {
 	// empty-stamp extras), so a recovered server keeps accepting writes
 	// at labels whose last arc was removed.
 	Labels []int64
-
-	// StallWrite and StallRename are fault-injection hooks for crash
-	// tests: sleep mid-way through the section writes (partial temp
-	// file on disk) and after fsync but before the rename. Zero in
-	// production. They predate internal/fault and remain as the
-	// flag-level spelling; Faults generalises them.
-	StallWrite  time.Duration
-	StallRename time.Duration
 
 	// Faults, when non-nil, arms the checkpoint writer's injection
 	// sites: ckpt.write (mid-way through the section writes),
@@ -340,14 +331,12 @@ func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMet
 				return 0, err
 			}
 		}
-		if i == len(secs)/2 && (meta.StallWrite > 0 || meta.Faults != nil) {
+		if i == len(secs)/2 && meta.Faults != nil {
 			// Crash/fault window: make sure the partial prefix is on
-			// disk, then hold it open so a SIGKILL lands mid-write, or
-			// abort here when a ckpt.write rule injects an error.
+			// disk, then let a ckpt.write delay hold it open so a
+			// SIGKILL lands mid-write, or abort here when the rule
+			// injects an error.
 			w.Flush()
-			if meta.StallWrite > 0 {
-				time.Sleep(meta.StallWrite)
-			}
 			if err := meta.Faults.Fire(fault.CkptWrite); err != nil {
 				f.Close()
 				return 0, err
@@ -376,9 +365,6 @@ func WriteCheckpoint(path string, g *egraph.IntEvolvingGraph, meta CheckpointMet
 	}
 	if err := f.Close(); err != nil {
 		return 0, err
-	}
-	if meta.StallRename > 0 {
-		time.Sleep(meta.StallRename)
 	}
 	if err := meta.Faults.Fire(fault.CkptRename); err != nil {
 		return 0, err

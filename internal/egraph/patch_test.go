@@ -151,7 +151,7 @@ func collectArcs(g *IntEvolvingGraph) []ArcDelta {
 	return arcs
 }
 
-// TestPatchEquivalenceRandom races Patch against the full-rebuild
+// TestPatchEquivalenceRandom races Patch against the full Builder rebuild
 // oracle across directed/undirected × weighted/unweighted bases under
 // random deltas mixing insertions (including brand-new nodes and
 // labels, mid-axis and appended), removals of existing arcs, removals

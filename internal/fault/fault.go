@@ -57,14 +57,15 @@ const (
 	// here is the canonical "disk full" trigger: the sticky WAL error
 	// degrades the write path while reads keep serving.
 	WALFsync Site = "wal.fsync"
-	// CkptWrite fires between checkpoint section writes (the
-	// generalisation of the old CheckpointMeta.StallWrite hook).
+	// CkptWrite fires between checkpoint section writes, after the
+	// partial prefix is flushed: a delay here leaves a torn temp file
+	// on disk for a crash test to kill the process over.
 	CkptWrite Site = "ckpt.write"
 	// CkptFsync fires just before the checkpoint temp file's fsync. An
 	// error must leave the previous checkpoint generation intact.
 	CkptFsync Site = "ckpt.fsync"
 	// CkptRename fires between the temp file's fsync and the atomic
-	// rename (the old CheckpointMeta.StallRename hook).
+	// rename: a delay here leaves a complete but unrenamed temp file.
 	CkptRename Site = "ckpt.rename"
 	// WireAccept fires as a new EGWP connection is accepted; a drop
 	// closes it before the hello.

@@ -10,11 +10,11 @@
 // is an upper bound and most re-evaluations are skipped.
 //
 // Influence sets are materialised once as per-source node bitsets via
-// the paper's BFS from each node's earliest active stamp. By default the
-// searches run on the graph's cached flat CSR view (DESIGN.md §8-9),
-// evaluated concurrently across a worker pool with pooled frontier
-// scratch (core.ReachSweep); Options.UseAdjacencyMaps instead runs one
-// adjacency-map BFS per candidate — the differential-testing oracle,
+// the paper's BFS from each node's earliest active stamp. The searches
+// run on the graph's cached flat CSR view (DESIGN.md §8-9), evaluated
+// concurrently across a worker pool with pooled frontier scratch
+// (core.ReachSweep); ReferenceGreedy and ReferenceSpread instead run one
+// adjacency-map BFS per candidate — the differential-testing oracles,
 // producing bit-identical reach sets, seeds and spreads. Either way the
 // cost is one O(|E| + |V|) search per candidate and |V|²/8 bytes of
 // bitsets — exact and fine at mining scale; use internal/sketch for
@@ -42,13 +42,8 @@ type Options struct {
 	// Candidates restricts the seed pool to these nodes; nil means
 	// every active node is a candidate.
 	Candidates []int32
-	// UseAdjacencyMaps evaluates reach sets with the adjacency-map
-	// oracle (one sequential core.BFS plus a full temporal-node scan per
-	// candidate) instead of the concurrent CSR sweep. Kept for
-	// differential testing; results are identical.
-	UseAdjacencyMaps bool
-	// Workers bounds the concurrency of CSR reach-set evaluation;
-	// 0 means GOMAXPROCS.
+	// Workers bounds the concurrency of reach-set evaluation; 0 means
+	// GOMAXPROCS. The Reference oracles ignore it.
 	Workers int
 }
 
@@ -66,6 +61,20 @@ type Seed struct {
 // stops early when every remaining candidate has zero marginal gain.
 // Nodes that are never active cannot influence anything and are skipped.
 func Greedy(g *egraph.IntEvolvingGraph, k int, opts Options) ([]Seed, error) {
+	return greedy(g, k, opts, reachSets)
+}
+
+// ReferenceGreedy is the differential-testing oracle for Greedy: the
+// same CELF selection over reach sets from one sequential
+// core.ReferenceBFS plus a full temporal-node scan per candidate. Only
+// tests and cmd/egbench call it.
+func ReferenceGreedy(g *egraph.IntEvolvingGraph, k int, opts Options) ([]Seed, error) {
+	return greedy(g, k, opts, referenceReachSets)
+}
+
+// greedy is Greedy over the reach-set evaluator sets.
+func greedy(g *egraph.IntEvolvingGraph, k int, opts Options,
+	sets func(*egraph.IntEvolvingGraph, []int32, Options) (map[int32]*ds.BitSet, error)) ([]Seed, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("influence: k must be positive, got %d", k)
 	}
@@ -84,7 +93,7 @@ func Greedy(g *egraph.IntEvolvingGraph, k int, opts Options) ([]Seed, error) {
 		}
 	}
 
-	reach, err := reachSets(g, candidates, opts)
+	reach, err := sets(g, candidates, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -125,25 +134,11 @@ func Greedy(g *egraph.IntEvolvingGraph, k int, opts Options) ([]Seed, error) {
 // straight into one covered bitset — so memory stays O(|V|/8) however
 // many seeds are passed.
 func Spread(g *egraph.IntEvolvingGraph, seeds []int32, opts Options) (int, error) {
-	for _, v := range seeds {
-		if v < 0 || int(v) >= g.NumNodes() {
-			return 0, fmt.Errorf("influence: seed %d out of range (n=%d)", v, g.NumNodes())
-		}
+	if err := checkSeeds(g, seeds); err != nil {
+		return 0, err
 	}
 	n := g.NumNodes()
 	covered := ds.NewBitSet(n)
-	if opts.UseAdjacencyMaps {
-		for _, v := range seeds {
-			r, err := reachSetReference(g, v, opts)
-			if err != nil {
-				return 0, err
-			}
-			if r != nil {
-				covered.Or(r)
-			}
-		}
-		return covered.Count(), nil
-	}
 	roots := make([]egraph.TemporalNode, 0, len(seeds))
 	for _, v := range seeds {
 		if stamps := g.ActiveStamps(v); len(stamps) > 0 {
@@ -165,25 +160,42 @@ func Spread(g *egraph.IntEvolvingGraph, seeds []int32, opts Options) (int, error
 	return covered.Count(), nil
 }
 
+// ReferenceSpread is the differential-testing oracle for Spread: the
+// union of one core.ReferenceBFS reach set per seed. Only tests call
+// it.
+func ReferenceSpread(g *egraph.IntEvolvingGraph, seeds []int32, opts Options) (int, error) {
+	if err := checkSeeds(g, seeds); err != nil {
+		return 0, err
+	}
+	covered := ds.NewBitSet(g.NumNodes())
+	for _, v := range seeds {
+		r, err := referenceReachSet(g, v, opts)
+		if err != nil {
+			return 0, err
+		}
+		if r != nil {
+			covered.Or(r)
+		}
+	}
+	return covered.Count(), nil
+}
+
+// checkSeeds rejects seed ids outside the graph's node range.
+func checkSeeds(g *egraph.IntEvolvingGraph, seeds []int32) error {
+	for _, v := range seeds {
+		if v < 0 || int(v) >= g.NumNodes() {
+			return fmt.Errorf("influence: seed %d out of range (n=%d)", v, g.NumNodes())
+		}
+	}
+	return nil
+}
+
 // reachSets materialises the per-candidate influence bitsets: candidate
 // v covers node w iff some (w, s) is reachable from v's earliest active
 // temporal node. Never-active candidates are skipped (no map entry). The
-// default engine collapses concurrent CSR reach sweeps; the oracle runs
-// one adjacency-map BFS per candidate.
+// sets come from concurrent CSR reach sweeps.
 func reachSets(g *egraph.IntEvolvingGraph, candidates []int32, opts Options) (map[int32]*ds.BitSet, error) {
 	out := make(map[int32]*ds.BitSet, len(candidates))
-	if opts.UseAdjacencyMaps {
-		for _, v := range candidates {
-			r, err := reachSetReference(g, v, opts)
-			if err != nil {
-				return nil, err
-			}
-			if r != nil {
-				out[v] = r
-			}
-		}
-		return out, nil
-	}
 	nodes := make([]int32, 0, len(candidates))
 	roots := make([]egraph.TemporalNode, 0, len(candidates))
 	for _, v := range candidates {
@@ -213,17 +225,33 @@ func reachSets(g *egraph.IntEvolvingGraph, candidates []int32, opts Options) (ma
 	return out, nil
 }
 
-// reachSetReference is the adjacency-map oracle: the paper's BFS from
+// referenceReachSets is reachSets built from referenceReachSet, one
+// candidate at a time.
+func referenceReachSets(g *egraph.IntEvolvingGraph, candidates []int32, opts Options) (map[int32]*ds.BitSet, error) {
+	out := make(map[int32]*ds.BitSet, len(candidates))
+	for _, v := range candidates {
+		r, err := referenceReachSet(g, v, opts)
+		if err != nil {
+			return nil, err
+		}
+		if r != nil {
+			out[v] = r
+		}
+	}
+	return out, nil
+}
+
+// referenceReachSet is the adjacency-map oracle: the paper's BFS from
 // v's earliest active stamp, collapsed to a distinct-node bitset by a
 // full temporal-node scan. nil (no error) for never-active nodes.
-func reachSetReference(g *egraph.IntEvolvingGraph, v int32, opts Options) (*ds.BitSet, error) {
+func referenceReachSet(g *egraph.IntEvolvingGraph, v int32, opts Options) (*ds.BitSet, error) {
 	stamps := g.ActiveStamps(v)
 	if len(stamps) == 0 {
 		return nil, nil
 	}
 	root := egraph.TemporalNode{Node: v, Stamp: stamps[0]}
-	res, err := core.BFS(g, root, core.Options{
-		Mode: opts.Mode, ReverseEdges: opts.ReverseEdges, UseAdjacencyMaps: true,
+	res, err := core.ReferenceBFS(g, []egraph.TemporalNode{root}, core.Options{
+		Mode: opts.Mode, ReverseEdges: opts.ReverseEdges,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("influence: BFS from %v: %w", root, err)

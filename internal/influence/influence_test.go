@@ -200,11 +200,9 @@ func assertEnginesAgree(t *testing.T, g *egraph.IntEvolvingGraph, label string) 
 	for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
 		for _, reverse := range []bool{false, true} {
 			csr := Options{Mode: mode, ReverseEdges: reverse, Workers: 3}
-			oracle := csr
-			oracle.UseAdjacencyMaps = true
-			oracle.Workers = 0
+			oracle := Options{Mode: mode, ReverseEdges: reverse}
 			gotSeeds, err1 := Greedy(g, 4, csr)
-			wantSeeds, err2 := Greedy(g, 4, oracle)
+			wantSeeds, err2 := ReferenceGreedy(g, 4, oracle)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s mode %v reverse %v: Greedy errors: %v / %v", label, mode, reverse, err1, err2)
 			}
@@ -217,7 +215,7 @@ func assertEnginesAgree(t *testing.T, g *egraph.IntEvolvingGraph, label string) 
 				all = append(all, v)
 			}
 			gotSp, err1 := Spread(g, all, csr)
-			wantSp, err2 := Spread(g, all, oracle)
+			wantSp, err2 := ReferenceSpread(g, all, oracle)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s mode %v reverse %v: Spread errors: %v / %v", label, mode, reverse, err1, err2)
 			}

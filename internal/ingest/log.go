@@ -75,13 +75,6 @@ type Config struct {
 	// CheckpointInterval is the time budget between checkpoints
 	// (default 60s).
 	CheckpointInterval time.Duration
-	// CheckpointStallWrite/CheckpointStallRename forward to the
-	// writer's fault-injection hooks; the CI soak SIGKILLs the server
-	// inside these windows to prove a torn checkpoint is survivable.
-	// Zero in production. They predate internal/fault and remain as
-	// the flag-level spelling; Faults generalises them.
-	CheckpointStallWrite  time.Duration
-	CheckpointStallRename time.Duration
 	// Faults, when non-nil, arms the checkpoint writer's injection
 	// sites (ckpt.write / ckpt.fsync / ckpt.rename). The WAL's own
 	// sites are armed through WALOptions.Faults when the WAL is
@@ -97,14 +90,6 @@ type Config struct {
 	// /ingest/stats and /metrics.
 	RecoverPath         string
 	TailRecordsReplayed int
-	// UseFullRebuild routes every epoch through the full Fold rebuild
-	// (replay all of base through a Builder) instead of the incremental
-	// copy-on-write Patch. Patch and Fold produce equivalent graphs —
-	// egbench's compact suite races them with a bit-identical-CSR
-	// assertion — so this is the differential oracle of the write path,
-	// the same engine-race pattern the traversal and analytics layers
-	// use (DESIGN.md §12).
-	UseFullRebuild bool
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...interface{})
 	// Registry, when non-nil, receives the pipeline's stage-level
@@ -126,13 +111,11 @@ type Stats struct {
 	PendingEvents    int64 `json:"pendingEvents"` // buffered, not yet folded
 	Epochs           int64 `json:"epochs"`        // compactions published
 	CompactedEvents  int64 `json:"compactedEvents"`
-	// PatchEpochs/FullRebuildEpochs split Epochs by fold path: the
-	// incremental copy-on-write Patch (the default) vs the full Builder
-	// replay (Config.UseFullRebuild, the differential oracle).
-	PatchEpochs       int64   `json:"patchEpochs"`
-	FullRebuildEpochs int64   `json:"fullRebuildEpochs"`
-	LastCompactMs     float64 `json:"lastCompactMs"`
-	TotalCompactMs    float64 `json:"totalCompactMs"`
+	// PatchEpochs counts the epochs folded through the incremental
+	// copy-on-write Patch.
+	PatchEpochs    int64   `json:"patchEpochs"`
+	LastCompactMs  float64 `json:"lastCompactMs"`
+	TotalCompactMs float64 `json:"totalCompactMs"`
 	// LastCSRBuildMs is the slice of the last epoch spent prebuilding
 	// the new snapshot's flat CSR view (parallel, into a recycled arena
 	// when one was banked) before publishing it.
@@ -219,7 +202,6 @@ type Log struct {
 	throttledEvents  atomic.Int64
 	epochs           atomic.Int64
 	patchEpochs      atomic.Int64
-	fullEpochs       atomic.Int64
 	compactedEvents  atomic.Int64
 	lastCompactNS    atomic.Int64
 	totalCompactNS   atomic.Int64
@@ -591,16 +573,8 @@ func (l *Log) CompactNow() int {
 	}
 	start := time.Now()
 	base := l.pub.Graph()
-	var g *egraph.IntEvolvingGraph
-	path := "patched"
-	if l.cfg.UseFullRebuild {
-		g = Fold(base, events)
-		l.fullEpochs.Add(1)
-		path = "full-rebuilt"
-	} else {
-		g = Patch(base, events)
-		l.patchEpochs.Add(1)
-	}
+	g := Patch(base, events)
+	l.patchEpochs.Add(1)
 	l.stage.With("fold").Observe(time.Since(start).Nanoseconds())
 	if g == base {
 		// Every event was structurally a no-op (pure stamp
@@ -665,8 +639,8 @@ func (l *Log) CompactNow() int {
 			break
 		}
 	}
-	l.cfg.Logf("ingest: epoch %d: %s %d events in %s (csr %s), published revision %d (%d nodes, %d stamps, oldest write visible after %s)",
-		l.epochs.Load(), path, len(events), dur.Round(time.Microsecond),
+	l.cfg.Logf("ingest: epoch %d: patched %d events in %s (csr %s), published revision %d (%d nodes, %d stamps, oldest write visible after %s)",
+		l.epochs.Load(), len(events), dur.Round(time.Microsecond),
 		time.Duration(l.lastCSRBuildNS.Load()).Round(time.Microsecond), rev,
 		g.NumNodes(), g.NumStamps(), visible.Round(time.Millisecond))
 	l.maybeCheckpoint(true, false)
@@ -706,11 +680,9 @@ func (l *Log) maybeCheckpoint(epochDone, force bool) (int64, error) {
 	}
 	l.mu.Unlock()
 	n, err := egio.WriteCheckpoint(l.cfg.CheckpointPath, g, egio.CheckpointMeta{
-		WALSeq:      seq,
-		Labels:      labels,
-		StallWrite:  l.cfg.CheckpointStallWrite,
-		StallRename: l.cfg.CheckpointStallRename,
-		Faults:      l.cfg.Faults,
+		WALSeq: seq,
+		Labels: labels,
+		Faults: l.cfg.Faults,
 	})
 	if err != nil {
 		l.checkpointErrs.Add(1)
@@ -787,7 +759,6 @@ func (l *Log) Stats() Stats {
 		PendingEvents:     int64(pending),
 		Epochs:            l.epochs.Load(),
 		PatchEpochs:       l.patchEpochs.Load(),
-		FullRebuildEpochs: l.fullEpochs.Load(),
 		CompactedEvents:   l.compactedEvents.Load(),
 		LastCompactMs:     float64(l.lastCompactNS.Load()) / 1e6,
 		TotalCompactMs:    float64(l.totalCompactNS.Load()) / 1e6,
@@ -832,9 +803,8 @@ type arcKey struct {
 // 1; re-adding an arc base already has keeps base's weight.
 //
 // Fold is O(base + events) regardless of the delta's size; the epoch
-// compactor uses the delta-proportional Patch by default and keeps
-// Fold as the differential oracle (Config.UseFullRebuild) and the
-// recovery replay path.
+// compactor uses the delta-proportional Patch, and Fold remains the
+// recovery replay path and the oracle tests compare Patch against.
 func Fold(base *egraph.IntEvolvingGraph, events []Event) *egraph.IntEvolvingGraph {
 	if len(events) == 0 {
 		// Nothing to fold: a timer-driven epoch with no writes must not

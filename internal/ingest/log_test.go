@@ -489,42 +489,38 @@ func TestCompactSkipsNoopEpoch(t *testing.T) {
 	}
 }
 
-// TestUseFullRebuildOracle drives the same event stream through a
-// patch-path log and a full-rebuild log and requires identical served
-// graphs and the path split reported in Stats.
-func TestUseFullRebuildOracle(t *testing.T) {
+// TestPatchEpochsMatchFoldOracle drives an event stream through the
+// log epoch by epoch and requires the Patch-served graph to equal the
+// full Fold of the base over every event, with every epoch counted as
+// a patch epoch in Stats.
+func TestPatchEpochsMatchFoldOracle(t *testing.T) {
 	streamEpochs := [][]Event{
 		{{Op: AddArc, U: 2, V: 0, T: 1}, {Op: RemoveArc, U: 0, V: 1, T: 1}},
 		{{Op: AddStamp, T: 9}, {Op: AddArc, U: 1, V: 2, T: 9}},
 		{{Op: RemoveArc, U: 1, V: 2, T: 9}, {Op: AddArc, U: 4, V: 5, T: 2}},
 	}
-	run := func(full bool) (*egraph.IntEvolvingGraph, Stats) {
-		pub := newFakePub(egraph.Figure1Graph())
-		l, err := New(pub, Config{
-			CompactEvery: 1 << 30, CompactInterval: time.Hour, UseFullRebuild: full,
-		})
-		if err != nil {
+	base := egraph.Figure1Graph()
+	pub := newFakePub(base)
+	l, err := New(pub, Config{CompactEvery: 1 << 30, CompactInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var all []Event
+	for _, events := range streamEpochs {
+		if _, err := l.Append(events); err != nil {
 			t.Fatal(err)
 		}
-		defer l.Close()
-		for _, events := range streamEpochs {
-			if _, err := l.Append(events); err != nil {
-				t.Fatal(err)
-			}
-			l.CompactNow()
-		}
-		return pub.Graph(), l.Stats()
+		l.CompactNow()
+		all = append(all, events...)
 	}
-	patched, pst := run(false)
-	folded, fst := run(true)
+	patched, pst := pub.Graph(), l.Stats()
+	folded := Fold(base, all)
 	if !reflect.DeepEqual(edgeSet(patched), edgeSet(folded)) {
 		t.Fatalf("served graphs diverged:\npatch %v\nfold  %v", edgeSet(patched), edgeSet(folded))
 	}
-	if pst.PatchEpochs != 3 || pst.FullRebuildEpochs != 0 {
+	if pst.PatchEpochs != 3 {
 		t.Fatalf("patch log epochs = %+v", pst)
-	}
-	if fst.FullRebuildEpochs != 3 || fst.PatchEpochs != 0 {
-		t.Fatalf("full-rebuild log epochs = %+v", fst)
 	}
 	if pst.LastVisibleMs <= 0 || pst.LastCSRBuildMs < 0 {
 		t.Fatalf("latency stats missing: %+v", pst)

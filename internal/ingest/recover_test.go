@@ -635,9 +635,9 @@ func TestRecoverRestartCycle(t *testing.T) {
 		append(flatten(batches), Event{Op: AddArc, U: 3, V: 1, T: 2})))
 }
 
-// TestLogCheckpointStallHooks: the fault-injection stalls delay the
-// write visibly — the window the CI soak SIGKILLs inside — without
-// changing the result.
+// TestLogCheckpointStallHooks: ckpt.write and ckpt.rename delay rules
+// stall the write visibly — the windows a crash test SIGKILLs inside —
+// without changing the result, each firing once per checkpoint.
 func TestLogCheckpointStallHooks(t *testing.T) {
 	dir := t.TempDir()
 	wal, _, err := OpenWAL(filepath.Join(dir, "w.wal"), WALOptions{Policy: SyncAlways})
@@ -646,8 +646,7 @@ func TestLogCheckpointStallHooks(t *testing.T) {
 	}
 	ckptPath := filepath.Join(dir, "w.ckpt")
 	cfg := ckptLogConfig(wal, ckptPath, t)
-	cfg.CheckpointStallWrite = 30 * time.Millisecond
-	cfg.CheckpointStallRename = 30 * time.Millisecond
+	cfg.Faults = fault.Must("ckpt.write delay=30ms\nckpt.rename delay=30ms")
 	lg, err := New(newFakePub(egraph.Figure1Graph()), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -670,6 +669,9 @@ func TestLogCheckpointStallHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.Close()
+	if got, want := cfg.Faults.Counts(), map[string]int64{"ckpt.write": 1, "ckpt.rename": 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fault fire counts = %v, want %v", got, want)
+	}
 }
 
 // TestCheckpointFsyncFailureFallsBack (DESIGN.md §17): an injected

@@ -18,11 +18,11 @@
 // distance notions genuinely disagree (see the package tests).
 //
 // The BFS-backed centralities (TemporalCloseness, GlobalEfficiency) run
-// on the graph's cached flat CSR view by default (DESIGN.md §8-9), with
+// on the graph's cached flat CSR view (DESIGN.md §8-9), with
 // GlobalEfficiency fanning its one-BFS-per-root sweep across a worker
-// pool; Options.UseAdjacencyMaps selects the adjacency-map oracle
-// instead. Per-root contributions are always combined in root order, so
-// results are bit-identical across engines and worker counts.
+// pool; ReferenceEfficiency is its sequential adjacency-map oracle.
+// Per-root contributions are always combined in root order, so results
+// are bit-identical across engines and worker counts.
 package metrics
 
 import (
@@ -39,20 +39,13 @@ import (
 )
 
 // Options configures the BFS-backed centrality computations. The zero
-// value is the default CSR engine under the paper's all-pairs causal
-// mode.
+// value is the paper's all-pairs causal mode with a GOMAXPROCS-wide
+// sweep.
 type Options struct {
 	// Mode selects the causal edge set.
 	Mode egraph.CausalMode
-	// UseAdjacencyMaps routes the underlying searches through the
-	// adjacency-map oracle instead of the flat CSR engine. Kept for
-	// differential testing; results are bit-identical.
-	UseAdjacencyMaps bool
-	// Workers bounds the fan-out of GlobalEfficiency's per-root sweep
-	// on the CSR engine; 0 means GOMAXPROCS. The oracle engine is
-	// always sequential (matching components.Options), so engine
-	// comparisons race the parallel default against the pre-CSR
-	// implementation.
+	// Workers bounds the fan-out of GlobalEfficiency's per-root sweep;
+	// 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -179,12 +172,11 @@ func TemporalCloseness(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, mod
 	return TemporalClosenessOpts(g, root, Options{Mode: mode})
 }
 
-// TemporalClosenessOpts is TemporalCloseness with engine control; the
-// engine choice flows into the underlying core.BFS. The harmonic sum is
-// accumulated in temporal-node id order either way, so both engines
-// return bit-identical values.
+// TemporalClosenessOpts is TemporalCloseness taking Options. The
+// harmonic sum is accumulated in temporal-node id order, so the value
+// is bit-identical to the same sum over core.ReferenceBFS.
 func TemporalClosenessOpts(g *egraph.IntEvolvingGraph, root egraph.TemporalNode, opts Options) (float64, error) {
-	res, err := core.BFS(g, root, core.Options{Mode: opts.Mode, UseAdjacencyMaps: opts.UseAdjacencyMaps})
+	res, err := core.BFS(g, root, core.Options{Mode: opts.Mode})
 	if err != nil {
 		return 0, err
 	}
@@ -192,8 +184,8 @@ func TemporalClosenessOpts(g *egraph.IntEvolvingGraph, root egraph.TemporalNode,
 }
 
 // closenessOf accumulates Σ 1/d over a BFS result in temporal-node id
-// order (the Visit order) — kept in one place so every engine and sweep
-// sums identically.
+// order (the Visit order) — kept in one place so every sweep sums
+// identically.
 func closenessOf(res *core.Result) float64 {
 	sum := 0.0
 	res.Visit(func(_ egraph.TemporalNode, d int) bool {
@@ -234,22 +226,19 @@ type sourcePartial struct {
 	ecc       int
 }
 
-// GlobalEfficiencyOpts is GlobalEfficiency with engine and worker
-// control. The per-root searches are fanned across Workers goroutines;
-// each root's contribution is accumulated in temporal-node id order and
-// the partials are combined in root order, so the result is
-// bit-identical across engines and worker counts.
+// GlobalEfficiencyOpts is GlobalEfficiency with worker control. The
+// per-root searches are fanned across Workers goroutines; each root's
+// contribution is accumulated in temporal-node id order and the
+// partials are combined in root order, so the result is bit-identical
+// across worker counts and to ReferenceEfficiency.
 func GlobalEfficiencyOpts(g *egraph.IntEvolvingGraph, opts Options) EfficiencyStats {
 	roots := g.ActiveTemporalNodes()
 	n := len(roots)
-	var st EfficiencyStats
 	if n < 2 {
-		return st
+		return EfficiencyStats{}
 	}
 	workers := opts.Workers
-	if opts.UseAdjacencyMaps {
-		workers = 1 // the oracle is the sequential pre-CSR implementation
-	} else if workers <= 0 {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
@@ -267,27 +256,58 @@ func GlobalEfficiencyOpts(g *egraph.IntEvolvingGraph, opts Options) EfficiencySt
 				if i >= n {
 					return
 				}
-				res, err := core.BFS(g, roots[i], core.Options{Mode: opts.Mode, UseAdjacencyMaps: opts.UseAdjacencyMaps})
+				res, err := core.BFS(g, roots[i], core.Options{Mode: opts.Mode})
 				if err != nil {
 					continue // unreachable: roots are active by construction
 				}
-				p := &parts[i]
-				res.Visit(func(_ egraph.TemporalNode, d int) bool {
-					if d > 0 {
-						p.eff += 1 / float64(d)
-						p.dist += float64(d)
-						p.reachable++
-						if d > p.ecc {
-							p.ecc = d
-						}
-					}
-					return true
-				})
+				parts[i] = partialOf(res)
 			}
 		}()
 	}
 	wg.Wait()
+	return combinePartials(parts)
+}
 
+// ReferenceEfficiency is the differential-testing oracle for
+// GlobalEfficiency: the pre-CSR implementation, one sequential
+// core.ReferenceBFS per active temporal node. Only tests and
+// cmd/egbench call it.
+func ReferenceEfficiency(g *egraph.IntEvolvingGraph, mode egraph.CausalMode) EfficiencyStats {
+	roots := g.ActiveTemporalNodes()
+	if len(roots) < 2 {
+		return EfficiencyStats{}
+	}
+	parts := make([]sourcePartial, len(roots))
+	for i, root := range roots {
+		res, err := core.ReferenceBFS(g, []egraph.TemporalNode{root}, core.Options{Mode: mode})
+		if err != nil {
+			continue // unreachable: roots are active by construction
+		}
+		parts[i] = partialOf(res)
+	}
+	return combinePartials(parts)
+}
+
+// partialOf accumulates one root's contribution in Visit order.
+func partialOf(res *core.Result) sourcePartial {
+	var p sourcePartial
+	res.Visit(func(_ egraph.TemporalNode, d int) bool {
+		if d > 0 {
+			p.eff += 1 / float64(d)
+			p.dist += float64(d)
+			p.reachable++
+			if d > p.ecc {
+				p.ecc = d
+			}
+		}
+		return true
+	})
+	return p
+}
+
+// combinePartials sums per-root partials in root order.
+func combinePartials(parts []sourcePartial) EfficiencyStats {
+	var st EfficiencyStats
 	var effSum, distSum float64
 	reachable := 0
 	for i := range parts {
@@ -298,6 +318,7 @@ func GlobalEfficiencyOpts(g *egraph.IntEvolvingGraph, opts Options) EfficiencySt
 			st.Diameter = parts[i].ecc
 		}
 	}
+	n := len(parts)
 	pairs := float64(n * (n - 1))
 	st.Efficiency = effSum / pairs
 	st.ReachableFraction = float64(reachable) / pairs

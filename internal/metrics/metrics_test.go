@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/egraph"
 	"repro/internal/gen"
 )
@@ -250,8 +251,7 @@ func assertEnginesAgree(t *testing.T, g *egraph.IntEvolvingGraph, label string) 
 	t.Helper()
 	for _, mode := range []egraph.CausalMode{egraph.CausalAllPairs, egraph.CausalConsecutive} {
 		csr := Options{Mode: mode, Workers: 3}
-		oracle := Options{Mode: mode, UseAdjacencyMaps: true, Workers: 1}
-		if got, want := GlobalEfficiencyOpts(g, csr), GlobalEfficiencyOpts(g, oracle); got != want {
+		if got, want := GlobalEfficiencyOpts(g, csr), ReferenceEfficiency(g, mode); got != want {
 			t.Fatalf("%s mode %v: GlobalEfficiency diverges:\ncsr  %+v\nmaps %+v", label, mode, got, want)
 		}
 		for i, root := range g.ActiveTemporalNodes() {
@@ -259,10 +259,17 @@ func assertEnginesAgree(t *testing.T, g *egraph.IntEvolvingGraph, label string) 
 				continue // sample roots to keep the sweep cheap
 			}
 			got, err1 := TemporalClosenessOpts(g, root, csr)
-			want, err2 := TemporalClosenessOpts(g, root, oracle)
+			res, err2 := core.ReferenceBFS(g, []egraph.TemporalNode{root}, core.Options{Mode: mode})
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s mode %v: closeness errors: %v / %v", label, mode, err1, err2)
 			}
+			want := 0.0
+			res.Visit(func(_ egraph.TemporalNode, d int) bool {
+				if d > 0 {
+					want += 1 / float64(d)
+				}
+				return true
+			})
 			if got != want {
 				t.Fatalf("%s mode %v root %v: closeness diverges: csr %v, maps %v",
 					label, mode, root, got, want)

@@ -13,9 +13,9 @@
 //     (Lemma 1) and the series is exact and finite.
 //
 // TemporalKatz evaluates its series terms by a neighbour gather over
-// the graph's cached flat CSR view (DESIGN.md §8-9) by default;
-// KatzOptions.UseBlockKernel selects the assembled block matrix kernel
-// instead — the differential-testing oracle, bit-identical scores.
+// the graph's cached flat CSR view (DESIGN.md §8-9); ReferenceKatz runs
+// the same series through the assembled block matrix kernel — the
+// differential-testing oracle, bit-identical scores.
 // EvolvingPageRank is per-snapshot by construction and runs directly on
 // the per-stamp adjacency.
 package rank
@@ -192,12 +192,6 @@ type KatzOptions struct {
 	Tol float64
 	// MaxTerms caps the series length (default 10·stamps + 100).
 	MaxTerms int
-	// UseBlockKernel evaluates the series through the assembled block
-	// matrix A_nᵀ (matrix.Block.TMatVec) instead of the default gather
-	// over the graph's flat CSR view. The two kernels accumulate in the
-	// same order and return bit-identical scores; the block path is kept
-	// as the differential-testing oracle.
-	UseBlockKernel bool
 }
 
 // ErrKatzDiverged is returned when the power series fails to attenuate
@@ -208,9 +202,24 @@ var ErrKatzDiverged = errors.New("rank: Katz series did not converge (alpha too 
 // the Katz score Σ_k α^k · (#temporal walks of length k ending there,
 // from anywhere). High scores mark temporal nodes that many temporal
 // paths flow into. The series terms are evaluated by an A_nᵀ
-// neighbour-gather over the graph's flat CSR view (or the block matrix
-// kernel under UseBlockKernel — same scores); inactive slots stay 0.
+// neighbour-gather over the graph's flat CSR view; inactive slots
+// stay 0.
 func TemporalKatz(g *egraph.IntEvolvingGraph, opts KatzOptions) ([]float64, error) {
+	csr := g.CSR()
+	consecutive := opts.Mode == egraph.CausalConsecutive
+	return katz(g, opts, func(dst, src []float64) { csrTMatVec(csr, consecutive, dst, src) })
+}
+
+// ReferenceKatz is the differential-testing oracle for TemporalKatz: the
+// same series with its terms evaluated through the assembled block
+// matrix A_nᵀ (matrix.Block.TMatVec). Only tests call it.
+func ReferenceKatz(g *egraph.IntEvolvingGraph, opts KatzOptions) ([]float64, error) {
+	return katz(g, opts, g.BlockMatrix(opts.Mode).TMatVec)
+}
+
+// katz sums the Katz power series, computing each term from the last
+// with kernel (dst = A_nᵀ·src).
+func katz(g *egraph.IntEvolvingGraph, opts KatzOptions, kernel func(dst, src []float64)) ([]float64, error) {
 	if opts.Alpha == 0 {
 		opts.Alpha = 0.1
 	}
@@ -222,14 +231,6 @@ func TemporalKatz(g *egraph.IntEvolvingGraph, opts KatzOptions) ([]float64, erro
 	}
 	if opts.MaxTerms == 0 {
 		opts.MaxTerms = 10*g.NumStamps() + 100
-	}
-	var kernel func(dst, src []float64)
-	if opts.UseBlockKernel {
-		kernel = g.BlockMatrix(opts.Mode).TMatVec
-	} else {
-		csr := g.CSR()
-		consecutive := opts.Mode == egraph.CausalConsecutive
-		kernel = func(dst, src []float64) { csrTMatVec(csr, consecutive, dst, src) }
 	}
 	dim := g.NumStamps() * g.NumNodes()
 	// Seed with 1 on every *active* temporal node.

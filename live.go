@@ -88,10 +88,9 @@ func OpenWAL(path string, opts WALOptions) (*WAL, *WALRecovery, error) {
 }
 
 // FoldEvents applies an event stream to a base graph and builds the
-// resulting immutable graph from scratch — the full-rebuild fold,
-// exposed for recovery and offline compaction, and the differential
-// oracle of the incremental PatchEvents path
-// (IngestConfig.UseFullRebuild).
+// resulting immutable graph from scratch — the full rebuild fold,
+// exposed for recovery and offline compaction, and the oracle the
+// incremental PatchEvents path is tested against.
 func FoldEvents(base *Graph, events []IngestEvent) *Graph {
 	return ingest.Fold(base, events)
 }
